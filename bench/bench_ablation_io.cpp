@@ -9,14 +9,11 @@
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
 #include "io/mmap_file.hpp"
-#include "io/prefetch.hpp"
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
 #include "io/tsv.hpp"
-#include "perf/radix_partition.hpp"
 #include "sort/edge_sort.hpp"
 #include "util/fs.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -262,50 +259,6 @@ void BM_SortRoundTripCodec(benchmark::State& state) {
   state.SetLabel(cell_label(*inner, codec));
 }
 
-// Fast-path counterpart of BM_ReadStageCodec: the same stage read through
-// the double-buffered prefetcher, so the cell delta is the decode overlap.
-void BM_ReadStagePrefetched(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = static_cast<int>(state.range(2));
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-codec");
-  const auto inner = make_store(static_cast<int>(state.range(0)), dir);
-  io::CountingStageStore store(*inner);
-  const io::StageCodec& codec = pick_codec(static_cast<int>(state.range(1)));
-  io::write_generated_edges(store, "k0_edges", generator, 4, codec);
-  for (auto _ : state) {
-    const auto edges = io::read_all_edges_prefetched(store, "k0_edges", codec);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-  state.SetLabel(cell_label(*inner, codec));
-}
-
-// Fast-path counterpart of BM_SortRoundTripCodec: prefetched read + the
-// parallel radix partition instead of the serial read + serial radix sort —
-// the K1 fast path end to end.
-void BM_SortRoundTripFast(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = static_cast<int>(state.range(2));
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-codec");
-  const auto inner = make_store(static_cast<int>(state.range(0)), dir);
-  io::CountingStageStore store(*inner);
-  const io::StageCodec& codec = pick_codec(static_cast<int>(state.range(1)));
-  io::write_generated_edges(store, "k0_edges", generator, 4, codec);
-  util::ThreadPool pool;
-  for (auto _ : state) {
-    auto edges = io::read_all_edges_prefetched(store, "k0_edges", codec);
-    perf::radix_partition_sort(edges, pool);
-    io::write_edge_list(store, "k1_sorted", edges, 4, codec);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-  state.SetLabel(cell_label(*inner, codec));
-}
-
 #define PRPB_CODEC_CELLS(scale)                                       \
   Args({0, 0, (scale)})->Args({0, 1, (scale)})->Args({1, 0, (scale)}) \
       ->Args({1, 1, (scale)})
@@ -316,13 +269,7 @@ BENCHMARK(BM_WriteStageCodec)
 BENCHMARK(BM_ReadStageCodec)
     ->PRPB_CODEC_CELLS(14)->PRPB_CODEC_CELLS(16)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReadStagePrefetched)
-    ->PRPB_CODEC_CELLS(14)->PRPB_CODEC_CELLS(16)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SortRoundTripCodec)
-    ->PRPB_CODEC_CELLS(16)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SortRoundTripFast)
     ->PRPB_CODEC_CELLS(16)
     ->Unit(benchmark::kMillisecond);
 

@@ -89,8 +89,8 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
                   "kernel-3 CSR form: plain (8-byte indices) | compressed "
                   "(delta-varint groups)", "plain");
   args.add_option("fast-path",
-                  "src/perf fast paths (radix sort, prefetch, blocked "
-                  "SpMV): on | off", "off");
+                  "parallel backend's K2 CSR build and K3 blocked SpMV "
+                  "(src/perf): on | off", "off");
   args.add_option("trace-out",
                   "write a Chrome trace_event JSON trace of the sweep", "");
   args.add_option("json",

@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
                   "kernel-3 CSR form: plain (8-byte indices) | compressed "
                   "(delta-varint groups)", "plain");
   args.add_option("fast-path",
-                  "src/perf fast paths (radix sort, prefetch, blocked "
-                  "SpMV): on | off", "off");
+                  "parallel backend's K2 CSR build and K3 blocked SpMV "
+                  "(src/perf): on | off", "off");
   args.add_option("faults",
                   "fault-injection plan, e.g. "
                   "'read_error@k1_sorted#2;bit_flip@k0_edges' "

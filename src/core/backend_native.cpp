@@ -5,7 +5,6 @@
 
 #include "gen/generator.hpp"
 #include "io/edge_files.hpp"
-#include "io/prefetch.hpp"
 #include "sort/external_sort.hpp"
 #include "sort/policy.hpp"
 #include "sparse/filter.hpp"
@@ -48,8 +47,6 @@ void NativeBackend::kernel1(const KernelContext& ctx) {
   }
   gen::EdgeList edges;
   {
-    // read_stage() rides the zero-copy view path; fast_path additionally
-    // overlaps shard decode ahead of the append loop on a helper thread.
     const obs::Span span = ctx.span("k1/read");
     edges = ctx.read_stage(ctx.in_stage);
   }

@@ -6,14 +6,12 @@
 #include "gen/generator.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
-#include "io/prefetch.hpp"
 #include "io/tsv.hpp"
 #include "perf/csr_build.hpp"
 #include "perf/radix_partition.hpp"
 #include "perf/spmv_block.hpp"
 #include "perf/spmv_compressed.hpp"
 #include "rand/rng.hpp"
-#include "sort/edge_sort.hpp"
 #include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/error.hpp"
@@ -36,25 +34,20 @@ void ParallelBackend::kernel0(const KernelContext& ctx) {
   const auto bounds =
       io::shard_boundaries(generator->num_edges(), config.num_files);
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(config.num_files);
-  for (std::size_t s = 0; s < config.num_files; ++s) {
-    futures.push_back(pool().submit([&, s] {
-      io::ShardWriter writer(ctx.store, ctx.out_stage,
-                             io::shard_name(s, codec), codec, ctx.hooks);
-      gen::EdgeList batch;
-      constexpr std::uint64_t kBatch = io::kDefaultBatchEdges;
-      for (std::uint64_t lo = bounds[s]; lo < bounds[s + 1]; lo += kBatch) {
-        const std::uint64_t hi =
-            std::min<std::uint64_t>(bounds[s + 1], lo + kBatch);
-        batch.clear();
-        generator->generate_range(lo, hi, batch);
-        writer.append(batch);
-      }
-      writer.close();
-    }));
-  }
-  for (auto& future : futures) future.get();
+  util::parallel_for(pool(), 0, config.num_files, [&](std::uint64_t s) {
+    io::ShardWriter writer(ctx.store, ctx.out_stage, io::shard_name(s, codec),
+                           codec, ctx.hooks);
+    gen::EdgeList batch;
+    constexpr std::uint64_t kBatch = io::kDefaultBatchEdges;
+    for (std::uint64_t lo = bounds[s]; lo < bounds[s + 1]; lo += kBatch) {
+      const std::uint64_t hi =
+          std::min<std::uint64_t>(bounds[s + 1], lo + kBatch);
+      batch.clear();
+      generator->generate_range(lo, hi, batch);
+      writer.append(batch);
+    }
+    writer.close();
+  });
 }
 
 void ParallelBackend::kernel1(const KernelContext& ctx) {
@@ -64,23 +57,20 @@ void ParallelBackend::kernel1(const KernelContext& ctx) {
     const obs::Span span = ctx.span("k1/read");
     edges = ctx.read_stage(ctx.in_stage);
   }
-  if (config.fast_path) {
+  {
     const obs::Span span = ctx.span("k1/radix_partition");
     perf::radix_partition_sort(edges, pool(), config.sort_key);
-  } else {
-    const obs::Span span = ctx.span("k1/merge_sort");
-    sort::parallel_merge_sort(edges, pool(), config.sort_key);
   }
   const obs::Span span = ctx.span("k1/write");
   io::write_edge_list(ctx.store, ctx.out_stage, edges, config.num_files,
-                      ctx.codec(), ctx.hooks);
+                      ctx.codec(), pool(), ctx.hooks);
 }
 
 sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
   const std::uint64_t n = ctx.config.num_vertices();
   if (ctx.config.fast_path) {
-    // Prefetched read (decode overlaps the consumer's append), then the
-    // per-task partial-degree CSR build and the shared filter reference.
+    // One straight read, then the per-task partial-degree CSR build and
+    // the shared filter reference.
     gen::EdgeList edges;
     {
       const obs::Span span = ctx.span("k2/read");
@@ -97,15 +87,10 @@ sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
   const auto shards = ctx.store.list(ctx.in_stage);
   const io::StageCodec& codec = ctx.codec();
   std::vector<gen::EdgeList> parts(shards.size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    futures.push_back(pool().submit([&, i] {
-      parts[i] = io::read_edge_shard(ctx.store, ctx.in_stage, shards[i],
-                                     codec, ctx.hooks);
-    }));
-  }
-  for (auto& future : futures) future.get();
+  util::parallel_for(pool(), 0, shards.size(), [&](std::uint64_t i) {
+    parts[i] = io::read_edge_shard(ctx.store, ctx.in_stage, shards[i], codec,
+                                   ctx.hooks);
+  });
   gen::EdgeList edges;
   for (auto& part : parts) {
     edges.insert(edges.end(), part.begin(), part.end());

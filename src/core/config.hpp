@@ -55,9 +55,9 @@ struct PipelineConfig {
   /// loop, shrinking per-edge index traffic ~4-7x. Results are
   /// bit-identical either way; interpreted-stack backends ignore it.
   std::string csr = "plain";
-  /// Enables the src/perf fast paths: kernel 1's radix partition sort,
-  /// prefetched (decode-overlapped) stage reads, kernel 2's parallel CSR
-  /// build and kernel 3's cache-blocked SpMV. Results are bit-identical
+  /// Enables the parallel backend's src/perf fast paths: kernel 2's
+  /// parallel CSR build and kernel 3's cache-blocked SpMV. Kernel 1 and
+  /// stage reads have one path and ignore it. Results are bit-identical
   /// to the reference paths; off by default for the ablation baseline.
   bool fast_path = false;
   /// True graph size of an external source, filled by the runner once the

@@ -1,12 +1,14 @@
 #include "io/edge_files.hpp"
 
 #include <cinttypes>
+#include <numeric>
 
 #include "io/edge_batch.hpp"
 #include "io/file_stream.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
+#include "util/threadpool.hpp"
 
 namespace prpb::io {
 
@@ -50,9 +52,10 @@ std::string decode_trace_args(const std::string& label) {
   return "{\"shard\":\"" + util::JsonWriter::escape(label) + "\"}";
 }
 
-gen::EdgeList read_shard_impl(StageReader& reader, const std::string& label,
-                              const StageCodec& codec, obs::Hooks hooks) {
-  gen::EdgeList edges;
+/// Appends every record of one shard to `out`.
+void decode_shard(StageReader& reader, const std::string& label,
+                  const StageCodec& codec, obs::Hooks hooks,
+                  gen::EdgeList& out) {
   const auto decoder = codec.make_decoder();
   obs::AccumulatingSpan span(hooks.trace, "codec/decode");
   // Zero-copy path: take the whole shard as one contiguous view (mmap for
@@ -60,10 +63,9 @@ gen::EdgeList read_shard_impl(StageReader& reader, const std::string& label,
   // elsewhere) and let the codec parse it in place.
   const auto view = reader.view();
   span.begin();
-  decoder->decode(view->chars(), edges, label);
+  decoder->decode(view->chars(), out, label);
   span.end();
   if (span.active()) span.flush(decode_trace_args(label));
-  return edges;
 }
 
 void stream_shard_impl(StageReader& reader, const std::string& label,
@@ -118,19 +120,42 @@ std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
   return writer.bytes_written();
 }
 
+std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
+                              const gen::EdgeList& edges, std::size_t shards,
+                              const StageCodec& codec, util::ThreadPool& pool,
+                              obs::Hooks hooks) {
+  // The serial form's layout: one ShardWriter per shard_boundaries slice,
+  // each slice encoded by a single append, so every shard's bytes match
+  // EdgeBatchWriter's one encode per shard. Empty trailing shards are
+  // still opened and closed.
+  store.clear_stage(stage);
+  const auto bounds = shard_boundaries(edges.size(), shards);
+  std::vector<std::uint64_t> bytes(shards, 0);
+  util::parallel_for(pool, 0, shards, [&](std::uint64_t s) {
+    ShardWriter writer(store, stage, shard_name(s, codec), codec, hooks);
+    writer.append(edges.data() + bounds[s], bounds[s + 1] - bounds[s]);
+    writer.close();
+    bytes[s] = writer.bytes_written();
+  });
+  return std::accumulate(bytes.begin(), bytes.end(), std::uint64_t{0});
+}
+
 gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
                               const std::string& shard,
                               const StageCodec& codec, obs::Hooks hooks) {
+  gen::EdgeList edges;
   const auto reader = store.open_read(stage, shard);
-  return read_shard_impl(*reader, stage + "/" + shard, codec, hooks);
+  decode_shard(*reader, stage + "/" + shard, codec, hooks, edges);
+  return edges;
 }
 
 gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
                              const StageCodec& codec, obs::Hooks hooks) {
+  // Every shard decodes straight into the one list.
   gen::EdgeList edges;
   for (const auto& shard : store.list(stage)) {
-    auto part = read_edge_shard(store, stage, shard, codec, hooks);
-    edges.insert(edges.end(), part.begin(), part.end());
+    const auto reader = store.open_read(stage, shard);
+    decode_shard(*reader, stage + "/" + shard, codec, hooks, edges);
   }
   return edges;
 }
@@ -206,8 +231,10 @@ std::uint64_t write_edge_list(const gen::EdgeList& edges, const fs::path& dir,
 }
 
 gen::EdgeList read_edge_file(const fs::path& path, Codec codec) {
+  gen::EdgeList edges;
   FileReader reader(path);
-  return read_shard_impl(reader, path.string(), tsv_codec(codec), {});
+  decode_shard(reader, path.string(), tsv_codec(codec), {}, edges);
+  return edges;
 }
 
 gen::EdgeList read_all_edges(const fs::path& dir, Codec codec) {

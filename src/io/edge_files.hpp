@@ -22,6 +22,10 @@
 #include "io/tsv.hpp"
 #include "obs/trace.hpp"
 
+namespace prpb::util {
+class ThreadPool;
+}  // namespace prpb::util
+
 namespace prpb::io {
 
 /// Naming scheme for shard i of a stage directory (dir / shard_name(i)).
@@ -49,6 +53,14 @@ std::uint64_t write_generated_edges(StageStore& store,
 std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
                               const gen::EdgeList& edges, std::size_t shards,
                               const StageCodec& codec, obs::Hooks hooks = {});
+
+/// The same stage as the serial form, byte for byte, with the shards
+/// encoded and written concurrently on `pool`. The store must accept
+/// concurrent writes to distinct shards (all in-tree stores do).
+std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
+                              const gen::EdgeList& edges, std::size_t shards,
+                              const StageCodec& codec, util::ThreadPool& pool,
+                              obs::Hooks hooks = {});
 
 /// Reads one shard of a stage fully.
 gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,

@@ -152,12 +152,23 @@ std::uint64_t load_le_int(const char* in) {
   }
 }
 
+/// Makes room for `extra` more records with amortized O(1) growth. A bare
+/// reserve(size + extra) per block would reallocate — and copy the whole
+/// list — on every block, which is quadratic over a many-block shard.
+void reserve_more(gen::EdgeList& out, std::uint64_t extra) {
+  const std::size_t need = out.size() + static_cast<std::size_t>(extra);
+  if (need > out.capacity()) {
+    out.reserve(std::max(need, 2 * out.capacity()));
+  }
+}
+
 /// Appends `count` (u, v) pairs from two columnar id arrays. The width
 /// switch hoists out of the element loop so each combination runs a tight
 /// fixed-width copy loop.
 template <typename U, typename V>
 void decode_column_pair(const char* su, const char* sv, std::uint64_t count,
                         gen::EdgeList& out) {
+  reserve_more(out, count);
   for (std::uint64_t i = 0; i < count; ++i) {
     out.push_back(gen::Edge{load_le_int<U>(su + i * sizeof(U)),
                             load_le_int<V>(sv + i * sizeof(V))});
@@ -260,8 +271,10 @@ class BinaryDecoder final : public StageDecoder {
 
   void decode(std::string_view shard, gen::EdgeList& out,
               const std::string& label) override {
-    // Whole shard in one span: a bounds-checked pointer walk straight over
-    // the mapped/owned bytes — nothing is staged.
+    // Whole shard in one span: one reserve for every block, then a
+    // bounds-checked pointer walk straight over the mapped/owned bytes —
+    // nothing is staged.
+    reserve_more(out, count_records(shard));
     const std::size_t consumed = parse_prefix(shard, out);
     util::io_require(
         consumed == shard.size(),
@@ -295,11 +308,33 @@ class BinaryDecoder final : public StageDecoder {
       }
       const char* su = data.data() + pos + binfmt::kBlockHeaderBytes;
       const char* sv = su + header.count * header.wu;
-      out.reserve(out.size() + header.count);
       decode_block(su, sv, header.count, header.wu, header.wv, out);
       pos += binfmt::kBlockHeaderBytes + header.payload;
     }
     return pos;
+  }
+
+  /// Records in the complete blocks of a whole shard, from a hop over the
+  /// block headers. Stops quietly at anything malformed — parse_prefix
+  /// reports it — so the count never exceeds what the bytes can hold.
+  static std::uint64_t count_records(std::string_view shard) {
+    if (shard.size() < binfmt::kHeaderBytes) return 0;
+    std::uint64_t total = 0;
+    std::size_t pos = binfmt::kHeaderBytes;
+    while (shard.size() - pos >= binfmt::kBlockHeaderBytes) {
+      const std::string_view block = shard.substr(pos);
+      const std::size_t wu = static_cast<unsigned char>(block[8]);
+      const std::size_t wv = static_cast<unsigned char>(block[9]);
+      const std::uint64_t count = load_le(block.data(), 8);
+      if (wu == 0 || wv == 0 || wu > 8 || wv > 8 ||
+          count > kMaxBlockRecords ||
+          count * (wu + wv) > block.size() - binfmt::kBlockHeaderBytes) {
+        break;
+      }
+      total += count;
+      pos += binfmt::kBlockHeaderBytes + count * (wu + wv);
+    }
+    return total;
   }
 
   struct BlockHeader {

@@ -1,6 +1,7 @@
 #include "util/threadpool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace prpb::util {
 
@@ -62,7 +63,17 @@ void parallel_for_chunks(
     const std::uint64_t hi = std::min(end, lo + chunk);
     futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
   }
-  for (auto& future : futures) future.get();  // rethrows first failure
+  // Every chunk must finish before a failure propagates: the chunks use
+  // `body`, which the caller's unwinding would destroy.
+  std::exception_ptr first;
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,

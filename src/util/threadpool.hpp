@@ -39,7 +39,8 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [begin, end) across `pool`, splitting the range into
-/// roughly 4×threads chunks. Blocks until done; rethrows the first exception.
+/// roughly 4×threads chunks. Blocks until every chunk is done, then rethrows
+/// the first exception.
 void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
                   const std::function<void(std::uint64_t)>& body);
 

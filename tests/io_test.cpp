@@ -2,6 +2,7 @@
 // binary spill runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "gen/kronecker.hpp"
@@ -13,8 +14,10 @@
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
 #include "io/tsv.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/timer.hpp"
 
 namespace prpb::io {
 namespace {
@@ -270,6 +273,65 @@ TEST(BinaryCodecTest, ChunkBoundarySplits) {
   EdgeList oneshot;
   decoder->decode(bytes, oneshot, "s");
   EXPECT_EQ(oneshot, edges);
+}
+
+TEST(BinaryCodecTest, ManySmallBlocksDecodeInLinearTime) {
+  // The same 2^20 edges as one block and as 2^14 blocks of 64. The output
+  // list must grow amortized O(1): reserving exactly size + count for each
+  // block copies the whole list once per block, which made the many-block
+  // decode over 100x slower than the one-block decode at this size.
+  constexpr std::size_t kEdges = std::size_t{1} << 20;
+  constexpr std::size_t kSmallBlock = 64;
+  EdgeList edges(kEdges);
+  for (std::size_t i = 0; i < kEdges; ++i) {
+    // Ids in [2^20, 2^21): every block, small or not, stores 4-byte ids.
+    edges[i] = {kEdges + i, kEdges + (i * 2654435761u) % kEdges};
+  }
+  MemStageStore store;
+  const auto shard_bytes = [&](std::size_t block) {
+    const std::string name = "block_" + std::to_string(block) + ".bin";
+    ShardWriter writer(store, "s", name, binary_codec());
+    for (std::size_t lo = 0; lo < kEdges; lo += block) {
+      writer.append(edges.data() + lo, std::min(block, kEdges - lo));
+    }
+    writer.close();
+    return std::string(store.open_read("s", name)->view()->chars());
+  };
+  const std::string one_block = shard_bytes(kEdges);
+  const std::string many_blocks = shard_bytes(kSmallBlock);
+  ASSERT_EQ(many_blocks.size() - one_block.size(),
+            (kEdges / kSmallBlock - 1) * binfmt::kBlockHeaderBytes);
+
+  // Best of three rounds, so one descheduling does not decide the verdict.
+  const auto best_seconds = [&](const std::string& bytes, bool one_shot) {
+    double best = 1e30;
+    for (int round = 0; round < 3; ++round) {
+      const auto decoder = binary_codec().make_decoder();
+      EdgeList out;
+      const util::Stopwatch watch;
+      if (one_shot) {
+        decoder->decode(bytes, out, "s");
+      } else {
+        for (std::size_t pos = 0; pos < bytes.size();
+             pos += kDefaultBufferBytes) {
+          decoder->feed(std::string_view(bytes).substr(pos, kDefaultBufferBytes),
+                        out);
+        }
+        decoder->finish(out, "s");
+      }
+      best = std::min(best, watch.seconds());
+      EXPECT_EQ(out, edges);
+    }
+    return best;
+  };
+  for (const bool one_shot : {true, false}) {
+    const double one = best_seconds(one_block, one_shot);
+    const double many = best_seconds(many_blocks, one_shot);
+    // The 5 ms floor absorbs timer and scheduler noise on tiny times.
+    EXPECT_LT(many, 8.0 * one + 0.005)
+        << (one_shot ? "decode()" : "feed()") << ": one block " << one
+        << " s, " << kEdges / kSmallBlock << " blocks " << many << " s";
+  }
 }
 
 // ---- file streams -----------------------------------------------------------
@@ -847,9 +909,71 @@ TEST_P(StageCodecTest, FuzzRoundTrip) {
   }
 }
 
+TEST_P(StageCodecTest, ReadAllEdgesMatchesBatchReaderStream) {
+  // read_all_edges decodes every shard straight into one list; it must be
+  // the exact stream EdgeBatchReader produces, in shard order.
+  MemStageStore store;
+  gen::KroneckerParams params;
+  params.scale = 10;
+  const EdgeList edges = gen::KroneckerGenerator(params).generate_all();
+  write_edge_list(store, "s", edges, 5, codec());
+  EdgeBatchReader reader(store, "s", codec());
+  EdgeList batch;
+  EdgeList streamed;
+  while (reader.next(batch)) {
+    streamed.insert(streamed.end(), batch.begin(), batch.end());
+  }
+  EXPECT_EQ(streamed, edges);
+  EXPECT_EQ(read_all_edges(store, "s", codec()), edges);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllCodecs, StageCodecTest,
                          ::testing::Values("TsvFast", "TsvGeneric", "Binary"),
                          [](const auto& info) { return info.param; });
+
+TEST(ReadAllEdgesTest, EmptyStageReadsNothing) {
+  MemStageStore store;
+  store.clear_stage("s");  // exists, zero shards
+  EXPECT_TRUE(read_all_edges(store, "s", binary_codec()).empty());
+}
+
+TEST(ReadAllEdgesTest, MissingStageThrows) {
+  MemStageStore store;
+  EXPECT_THROW((void)read_all_edges(store, "no_such_stage", binary_codec()),
+               util::Error);
+}
+
+TEST(ReadAllEdgesTest, CorruptShardThrows) {
+  MemStageStore store;
+  const StageCodec& codec = tsv_codec(Codec::kFast);
+  write_edge_list(store, "s", {{1, 2}, {3, 4}, {5, 6}}, 2, codec);
+  {
+    // Sorts after the good shards, so they decode first.
+    auto writer = store.open_write("s", "zzz_corrupt.tsv");
+    writer->buffer() = "not\tan\tedge\nrow\n";
+    writer->close();
+  }
+  EXPECT_THROW((void)read_all_edges(store, "s", codec), util::Error);
+}
+
+TEST(ReadAllEdgesTest, RecordsOneDecodeSpanPerShard) {
+  // Shards large enough that each decode spans at least a microsecond
+  // (empty accumulations emit no event).
+  MemStageStore store;
+  gen::KroneckerParams params;
+  params.scale = 12;
+  const EdgeList written = gen::KroneckerGenerator(params).generate_all();
+  write_edge_list(store, "s", written, 3, binary_codec());
+  obs::TraceRecorder recorder;
+  const EdgeList edges =
+      read_all_edges(store, "s", binary_codec(), obs::Hooks{&recorder});
+  EXPECT_EQ(edges, written);
+  std::size_t decode_spans = 0;
+  for (const auto& event : recorder.events()) {
+    if (event.name == "codec/decode") ++decode_spans;
+  }
+  EXPECT_EQ(decode_spans, 3u);
+}
 
 TEST(StageFormatTest, ParsesKnownNames) {
   EXPECT_EQ(parse_stage_format("tsv"), StageFormat::kTsv);

@@ -8,6 +8,12 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/backend_native.hpp"
+#include "core/backend_parallel.hpp"
+#include "core/config.hpp"
+#include "core/kernel_context.hpp"
+#include "fault/inject.hpp"
+#include "fault/plan.hpp"
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
 #include "io/stage_codec.hpp"
@@ -20,6 +26,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/filter.hpp"
 #include "util/error.hpp"
+#include "util/fs.hpp"
 #include "util/threadpool.hpp"
 
 namespace prpb::perf {
@@ -162,6 +169,75 @@ TEST(RadixPartitionTest, ReencodedShardsAreByteIdentical) {
       ref_bytes.append(chunk);
     }
     EXPECT_EQ(fast_bytes, ref_bytes) << shard;
+  }
+}
+
+// ---- kernel 1: shard-parallel write on the parallel backend -------------------
+
+std::string shard_bytes(io::StageStore& store, const std::string& stage,
+                        const std::string& shard) {
+  return std::string(store.open_read(stage, shard)->view()->chars());
+}
+
+// The parallel backend writes each shard_boundaries slice on its own pool
+// task; native writes the sorted list through one EdgeBatchWriter. The
+// stage files must be the same, byte for byte, for every codec and store
+// — including the empty trailing shards of a stage with more shards than
+// edges.
+TEST(ParallelKernel1Test, ShardsMatchNativeByteForByte) {
+  const EdgeList large = random_edges(5000, 1 << 12, 21);
+  const EdgeList tiny = {{9, 1}, {3, 4}, {3, 2}};
+  const struct {
+    std::size_t shards;
+    const EdgeList* input;
+  } layouts[] = {{1, &large}, {3, &large}, {8, &tiny}};
+  core::NativeBackend native;
+  core::ParallelBackend parallel(4);
+  for (const char* format : {"tsv", "binary"}) {
+    for (const char* storage : {"dir", "mem"}) {
+      for (const auto& layout : layouts) {
+        SCOPED_TRACE(std::string(format) + "/" + storage + "/" +
+                     std::to_string(layout.shards) + " shards");
+        util::TempDir work("prpb-k1-parity");
+        core::PipelineConfig config;
+        config.stage_format = format;
+        config.storage = storage;
+        config.work_dir = work.path();
+        config.num_files = layout.shards;
+        const auto store = core::make_stage_store(config);
+        io::write_edge_list(*store, "k0", *layout.input, 2,
+                            core::make_stage_codec(config));
+        native.kernel1({config, *store, "k0", "k1_native", "tmp"});
+        parallel.kernel1({config, *store, "k0", "k1_parallel", "tmp"});
+
+        const auto shards = store->list("k1_native");
+        ASSERT_EQ(shards.size(), layout.shards);
+        ASSERT_EQ(store->list("k1_parallel"), shards);
+        for (const auto& shard : shards) {
+          EXPECT_EQ(shard_bytes(*store, "k1_parallel", shard),
+                    shard_bytes(*store, "k1_native", shard))
+              << shard;
+        }
+      }
+    }
+  }
+}
+
+// A shard write that fails on one pool task surfaces from the parallel
+// write_edge_list only after every other task has stopped using the
+// caller's edges — the TSan/ASan jobs catch a task outliving the frame.
+TEST(ParallelKernel1Test, FailedShardWriteSurfacesAfterAllTasksStop) {
+  const EdgeList edges = random_edges(20000, 1 << 12, 5);
+  util::ThreadPool pool(4);
+  for (const char* plan : {"write_error@s#1", "write_error@s#4",
+                           "torn_write@s#2"}) {
+    io::MemStageStore inner;
+    fault::FaultInjectingStageStore store(inner,
+                                          fault::FaultPlan::parse(plan, 3));
+    EXPECT_THROW(io::write_edge_list(store, "s", edges, 8,
+                                     io::binary_codec(), pool),
+                 util::TransientIoError)
+        << plan;
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <thread>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -384,6 +387,22 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(100);
   parallel_for(pool, 0, 100, [&hits](std::uint64_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsOnlyAfterEveryChunkFinished) {
+  // Chunk 0 fails at once while the others are still working; the
+  // failure may only reach the caller once no chunk can touch its frame.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(pool, 0, 4,
+                            [&finished](std::uint64_t i) {
+                              if (i == 0) throw std::runtime_error("chunk 0");
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(50));
+                              ++finished;
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
