@@ -68,7 +68,9 @@ int main(int argc, char** argv) {
   args.add_option("csr",
                   "warm CSR form: plain | compressed (delta-varint)",
                   "plain");
-  args.add_option("fast-path", "src/perf fast paths: on | off", "off");
+  args.add_option("fast-path",
+                  "parallel backend's K2 parallel CSR build (src/perf): "
+                  "on | off", "off");
   // Serving flags.
   args.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "0");
   args.add_option("threads", "query worker threads", "4");

@@ -9,8 +9,8 @@
 #include "io/tsv.hpp"
 #include "perf/csr_build.hpp"
 #include "perf/radix_partition.hpp"
-#include "perf/spmv_block.hpp"
 #include "perf/spmv_compressed.hpp"
+#include "perf/transpose.hpp"
 #include "rand/rng.hpp"
 #include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
@@ -113,17 +113,25 @@ std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
                 "kernel3: matrix must be square");
 
   // y = r·A computed as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry owned by
-  // exactly one task, so rows of Aᵀ partition the work with no atomics.
-  sparse::CsrMatrix at = matrix.transpose();
-  // --csr compressed: re-encode Aᵀ's column indices as delta-varint groups
-  // and release the 8-byte-per-edge plain index array; the iteration loop
-  // then streams the compressed form through the same blocked SpMV
-  // (bit-identical accumulation order either way).
+  // exactly one task, so rows of Aᵀ partition the work with no atomics. Aᵀ
+  // comes from the parallel stable transpose, as the 32-bit pull matrix or,
+  // for --csr compressed, as a CsrMatrix whose column indices are
+  // re-encoded as delta-varint groups (the plain index array is then
+  // released). Either way each row accumulates in ascending source order,
+  // so ranks are bit-identical to the serial backends'.
+  perf::PullMatrix at;
   std::optional<sparse::CompressedCsrMatrix> cat;
   if (config.csr == "compressed") {
+    sparse::CsrMatrix plain;
+    {
+      const obs::Span span = ctx.span("k3/transpose");
+      plain = perf::transpose(matrix, pool());
+    }
     const obs::Span span = ctx.span("k3/compress");
-    cat.emplace(sparse::CompressedCsrMatrix::from_csr(at));
-    at = sparse::CsrMatrix();
+    cat.emplace(sparse::CompressedCsrMatrix::from_csr(plain));
+  } else {
+    const obs::Span span = ctx.span("k3/transpose");
+    at = perf::transpose_pull(matrix, pool());
   }
   std::vector<double> r =
       sparse::pagerank_initial_vector(matrix.rows(), config.seed);
@@ -141,25 +149,18 @@ std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
     }
     double r_sum = 0.0;
     for (const double x : r) r_sum += x;
-    // Blocked over the source axis so a block of r stays cache-resident;
-    // per-row accumulation order is unchanged (bit-identical). Small
-    // matrices get a single block — r is cache-resident regardless.
-    const std::uint64_t block =
-        config.fast_path && matrix.cols() >= perf::kSpmvBlockMinCols
-            ? perf::kDefaultSpmvBlockCols
-            : std::max<std::uint64_t>(1, matrix.cols());
     if (cat) {
-      perf::transposed_spmv_compressed(*cat, r, y, pool(), block);
-    } else if (config.fast_path) {
-      perf::transposed_spmv_blocked(at, r, y, pool(), block);
+      perf::transposed_spmv_compressed(*cat, r, y, pool());
     } else {
       util::parallel_for_chunks(
-          pool(), 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
+          pool(), 0, at.rows, [&](std::uint64_t lo, std::uint64_t hi) {
+            const std::uint64_t* row_ptr = at.row_ptr.get();
+            const std::uint32_t* col_idx = at.col_idx.get();
+            const double* values = at.values.get();
             for (std::uint64_t j = lo; j < hi; ++j) {
               double acc = 0.0;
-              for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1];
-                   ++k) {
-                acc += at.values()[k] * r[at.col_idx()[k]];
+              for (std::uint64_t k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
+                acc += values[k] * r[col_idx[k]];
               }
               y[j] = acc;
             }

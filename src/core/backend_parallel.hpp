@@ -13,12 +13,13 @@ namespace prpb::core {
 /// concurrently (the counter-based generator needs no communication),
 /// kernel 1 sorts with the parallel radix partition and writes its shards
 /// concurrently, kernel 3 partitions the SpMV by output entry via the
-/// transposed matrix. Results are bit-identical to `native` for kernels
-/// 0-2 and fp-identical for kernel 3's additions within each output entry.
+/// transposed matrix, which the pool builds with perf::transpose_pull.
+/// Results are bit-identical to `native` for kernels 0-2 and fp-identical
+/// for kernel 3's additions within each output entry.
 ///
-/// With config.fast_path set, kernels 2-3 switch to the src/perf
-/// implementations (parallel CSR build, cache-blocked SpMV) — same
-/// results, the reference paths remain selectable for ablation.
+/// With config.fast_path set, kernel 2 switches to the src/perf parallel
+/// CSR build — same results, the reference path remains selectable for
+/// ablation.
 class ParallelBackend final : public PipelineBackend {
  public:
   /// threads == 0 means hardware concurrency.

@@ -55,10 +55,10 @@ struct PipelineConfig {
   /// loop, shrinking per-edge index traffic ~4-7x. Results are
   /// bit-identical either way; interpreted-stack backends ignore it.
   std::string csr = "plain";
-  /// Enables the parallel backend's src/perf fast paths: kernel 2's
-  /// parallel CSR build and kernel 3's cache-blocked SpMV. Kernel 1 and
-  /// stage reads have one path and ignore it. Results are bit-identical
-  /// to the reference paths; off by default for the ablation baseline.
+  /// Enables the parallel backend's src/perf fast path: kernel 2's
+  /// parallel CSR build. Kernels 1 and 3 and stage reads have one path and
+  /// ignore it. Results are bit-identical to the reference path; off by
+  /// default for the ablation baseline.
   bool fast_path = false;
   /// True graph size of an external source, filled by the runner once the
   /// source materializes (or resumes) its stages — unknown before that,

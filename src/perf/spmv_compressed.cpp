@@ -95,13 +95,13 @@ void transposed_spmv_compressed(const sparse::CompressedCsrMatrix& at,
   }
 
   y.assign(at.rows(), 0.0);
-  // Per-row cursor advanced monotonically across i blocks, exactly as in
-  // transposed_spmv_blocked, except the cursor also carries mid-group
-  // decode state: a block boundary can land inside a 4-lane group, and on
-  // resume the control byte is re-read and the already-consumed lanes
-  // skipped. Within each block the group-at-a-time unrolled path runs
-  // whenever a fresh group fits entirely below the block edge (the common
-  // case at 2^15-wide blocks versus ~tens-of-entries rows).
+  // Per-row cursor advanced monotonically across i blocks; besides the
+  // entry index it carries mid-group decode state: a block boundary can
+  // land inside a 4-lane group, and on resume the control byte is re-read
+  // and the already-consumed lanes skipped. Within each block the
+  // group-at-a-time unrolled path runs whenever a fresh group fits
+  // entirely below the block edge (the common case at 2^15-wide blocks
+  // versus ~tens-of-entries rows).
   std::vector<RowCursor> cursor(at.rows());
   util::parallel_for_chunks(pool, 0, at.rows(),
                             [&](std::uint64_t lo, std::uint64_t hi) {

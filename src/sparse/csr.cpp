@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "perf/transpose.hpp"
 #include "util/error.hpp"
 
 namespace prpb::sparse {
@@ -185,21 +186,11 @@ void CsrMatrix::vec_mat(const std::vector<double>& x,
 
 CsrMatrix CsrMatrix::transpose() const {
   CsrMatrix t(cols_, rows_);
-  std::vector<std::uint64_t> counts(cols_, 0);
-  for (const auto col : col_idx_) ++counts[col];
-  for (std::uint64_t c = 0; c < cols_; ++c)
-    t.row_ptr_[c + 1] = t.row_ptr_[c] + counts[c];
   t.col_idx_.resize(nnz());
   t.values_.resize(nnz());
-  std::vector<std::uint64_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  for (std::uint64_t r = 0; r < rows_; ++r) {
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::uint64_t pos = cursor[col_idx_[k]]++;
-      t.col_idx_[pos] = r;
-      t.values_[pos] = values_[k];
-    }
-  }
-  return t;  // rows iterated in order => each transposed row is sorted
+  perf::transpose_into(*this, {0, rows_}, t.row_ptr_.data(),
+                       t.col_idx_.data(), t.values_.data(), nullptr);
+  return t;
 }
 
 bool CsrMatrix::approx_equal(const CsrMatrix& other, double tol) const {

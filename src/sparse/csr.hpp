@@ -75,8 +75,9 @@ class CsrMatrix {
   /// Row-vector product `y = x · A` (x has `rows()` entries, y `cols()`).
   void vec_mat(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// Transposed matrix (used by the parallel backend to make the SpMV
-  /// output-partitionable, and by validation).
+  /// Transposed matrix, each row's columns ascending: the single-task,
+  /// serial call of the counting transpose in perf/transpose.hpp, whose
+  /// parallel calls build parallel kernel 3's Aᵀ with the same arrays.
   [[nodiscard]] CsrMatrix transpose() const;
 
   /// Structural + value equality within `tol` on values.

@@ -13,7 +13,6 @@
 
 #include "gen/kronecker.hpp"
 #include "io/edge_list.hpp"
-#include "perf/spmv_block.hpp"
 #include "perf/spmv_compressed.hpp"
 #include "rand/rng.hpp"
 #include "sparse/csr.hpp"
@@ -258,17 +257,16 @@ TEST(CsrCompressedSpmvTest, BitIdenticalAcrossBlockWidthsAndScales) {
   }
 }
 
-TEST(CsrCompressedSpmvTest, MatchesBlockedPlainSpmvBitForBit) {
+TEST(CsrCompressedSpmvTest, MatchesPlainRowLoopBitForBit) {
   util::ThreadPool pool(4);
   const CsrMatrix at = kronecker_matrix(10).transpose();
   const CompressedCsrMatrix cat = CompressedCsrMatrix::from_csr(at);
   std::vector<double> r(at.cols());
   rnd::Xoshiro256 rng(7);
   for (auto& x : r) x = rng.next_double();
-  std::vector<double> plain;
+  const std::vector<double> plain = reference_transposed_spmv(at, r);
   std::vector<double> compressed;
   for (const std::uint64_t block : {std::uint64_t{64}, at.cols()}) {
-    perf::transposed_spmv_blocked(at, r, plain, pool, block);
     perf::transposed_spmv_compressed(cat, r, compressed, pool, block);
     ASSERT_EQ(compressed.size(), plain.size());
     EXPECT_EQ(0, std::memcmp(compressed.data(), plain.data(),

@@ -1,8 +1,7 @@
 // Tests for src/perf: the fast paths must be indistinguishable from the
 // reference implementations they replace — the radix partition sort from
-// the stable comparison sort (including byte-for-byte re-encoded shards),
-// the parallel CSR build from CsrMatrix::from_edges, and the blocked SpMV
-// bit-for-bit from the straightforward per-row loop.
+// the stable comparison sort (including byte-for-byte re-encoded shards)
+// and the parallel CSR build from CsrMatrix::from_edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "io/stage_store.hpp"
 #include "perf/csr_build.hpp"
 #include "perf/radix_partition.hpp"
-#include "perf/spmv_block.hpp"
 #include "rand/rng.hpp"
 #include "sort/edge_sort.hpp"
 #include "sparse/csr.hpp"
@@ -307,58 +305,6 @@ TEST(CsrBuildTest, FilteredMatrixMatchesFilterEdges) {
   EXPECT_EQ(fast.row_ptr(), reference.row_ptr());
   EXPECT_EQ(fast.col_idx(), reference.col_idx());
   EXPECT_EQ(fast.values(), reference.values());
-}
-
-// ---- blocked SpMV: bitwise parity with the per-row loop ----------------------
-
-std::vector<double> reference_spmv(const sparse::CsrMatrix& at,
-                                   const std::vector<double>& r) {
-  std::vector<double> y(at.rows(), 0.0);
-  for (std::uint64_t j = 0; j < at.rows(); ++j) {
-    double acc = 0.0;
-    for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1]; ++k) {
-      acc += at.values()[k] * r[at.col_idx()[k]];
-    }
-    y[j] = acc;
-  }
-  return y;
-}
-
-TEST(SpmvBlockTest, BitIdenticalToRowLoopAcrossBlockWidths) {
-  gen::KroneckerParams params;
-  params.scale = 11;
-  const EdgeList edges = gen::KroneckerGenerator(params).generate_all();
-  const std::uint64_t n = std::uint64_t{1} << params.scale;
-  const sparse::CsrMatrix at =
-      sparse::filter_edges(edges, n).transpose();
-
-  std::vector<double> r(n);
-  rnd::Xoshiro256 rng(43);
-  for (auto& x : r) x = rng.next_double();
-  const std::vector<double> expected = reference_spmv(at, r);
-
-  util::ThreadPool pool(4);
-  std::vector<double> y;
-  // Tiny blocks force many cursor passes per row; n (single block) takes
-  // the fallback loop. Every width must reproduce the exact bits.
-  for (const std::uint64_t block : {std::uint64_t{1}, std::uint64_t{7},
-                                    std::uint64_t{256}, n / 2, n}) {
-    transposed_spmv_blocked(at, r, y, pool, block);
-    ASSERT_EQ(y.size(), expected.size());
-    EXPECT_EQ(0, std::memcmp(y.data(), expected.data(),
-                             y.size() * sizeof(double)))
-        << "block width " << block;
-  }
-}
-
-TEST(SpmvBlockTest, RejectsMismatchedVectorAndZeroBlock) {
-  const sparse::CsrMatrix at(8, 8);
-  std::vector<double> r(4, 0.0);
-  std::vector<double> y;
-  util::ThreadPool pool(2);
-  EXPECT_THROW(transposed_spmv_blocked(at, r, y, pool), util::Error);
-  r.assign(8, 0.0);
-  EXPECT_THROW(transposed_spmv_blocked(at, r, y, pool, 0), util::Error);
 }
 
 }  // namespace
